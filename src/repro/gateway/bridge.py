@@ -132,6 +132,36 @@ class OpResult:
         return 200 <= self.status < 300
 
 
+class _Completion:
+    """One op's completion callback and the sim instant it fired.
+
+    The op hands it to the fleet as its completion callback (the read
+    or write reply, the install confirmation).  The first call records
+    the value and the instant; while the op's own drive is running it
+    also stops the shard's simulator, so the drive ends at the
+    completing event.  A call that arrives after the drive gave up
+    (a reply past the op deadline) stops nothing.
+    """
+
+    __slots__ = ("_sim", "fired", "value", "at_ns", "driving")
+
+    def __init__(self, sim) -> None:
+        self._sim = sim
+        self.fired = False
+        self.value: object = None
+        self.at_ns = 0
+        self.driving = False
+
+    def __call__(self, value: object = None) -> None:
+        if self.fired:
+            return
+        self.fired = True
+        self.value = value
+        self.at_ns = self._sim.now_ns
+        if self.driving:
+            self._sim.stop()
+
+
 class RequestLog:
     """An append-only record of every operation a bridge served."""
 
@@ -424,21 +454,32 @@ class GatewayBridge:
             sim.run_until(admit_ns)
         return admit_ns
 
-    def _run_until_done(self, deployment: ShardDeployment, start_ns: int,
-                        done: Callable[[], bool]) -> bool:
-        """Drive one shard until *done* or the op deadline; True = done.
+    def _drive(self, deployment: ShardDeployment, start_ns: int,
+               done: _Completion) -> None:
+        """Drive one shard until *done* fires or the op deadline.
 
-        Chunked ``run_until`` keeps fast-forward/batching eligible while
-        still stopping within a chunk of the completing event.
+        The completing event stops the simulator; the drive then runs
+        on to the end of the chunk (``max(quantum, 2 ms)``, counted
+        from *start_ns*) that instant fell in.  The clock therefore
+        stops on the boundary where stepping the shard chunk by chunk
+        and checking after each would first have seen the op done:
+        every op's latency, the shard clocks and :meth:`digest` follow
+        the chunk rule, while the kernel is entered at most twice.
         """
+        if done.fired:
+            return
         sim = deployment.sim
         deadline = start_ns + self.op_timeout_ns
+        done.driving = True
+        try:
+            sim.run_until(deadline)
+        finally:
+            done.driving = False
+        if not done.fired:
+            return
         chunk = max(self.quantum_ns, 2 * NS_PER_MS)
-        while not done():
-            if sim.now_ns >= deadline:
-                return done()
-            sim.run_until(min(deadline, sim.now_ns + chunk))
-        return True
+        chunks = max(1, -(-(done.at_ns - start_ns) // chunk))
+        sim.run_until(min(deadline, start_ns + chunks * chunk))
 
     def _resolve(self, op: Op):
         entry = self._things.get(op.thing)
@@ -494,9 +535,9 @@ class GatewayBridge:
         tracer = self._gateway_tracer(deployment)
         if tracer is not None:
             tracer.current = None
-        box: List[object] = []
+        done = _Completion(deployment.sim)
         deployment.client.read(
-            thing.address, device_id, box.append,
+            thing.address, device_id, done,
             timeout_s=self.op_timeout_ns / 2e9,
         )
         # The client just allocated the in-fleet trace id and left it
@@ -508,9 +549,9 @@ class GatewayBridge:
         if trace_id is not None:
             track = self._gw_trace_open(tracer, op, trace_id,
                                         pre_ns, admitted)
-        self._run_until_done(deployment, admitted, lambda: bool(box))
+        self._drive(deployment, admitted, done)
         sim_latency = deployment.sim.now_ns - admitted
-        if not box or box[0] is None:
+        if done.value is None:
             result = OpResult(504, {"error": "read timed out in-fleet",
                                     "op": "read",
                                     "thing": op.thing, "property": op.name,
@@ -518,7 +559,7 @@ class GatewayBridge:
                               admitted_ns=admitted,
                               sim_latency_ns=sim_latency)
         else:
-            value = box[0]
+            value = done.value
             result = OpResult(200, {
                 "property": op.name,
                 "thing": op.thing,
@@ -546,9 +587,9 @@ class GatewayBridge:
         tracer = self._gateway_tracer(deployment)
         if tracer is not None:
             tracer.current = None
-        box: List[object] = []
+        done = _Completion(deployment.sim)
         deployment.client.write(
-            thing.address, device_id, int(op.value), box.append,
+            thing.address, device_id, int(op.value), done,
             timeout_s=self.op_timeout_ns / 2e9,
         )
         trace_id = tracer.current if tracer is not None else None
@@ -556,9 +597,9 @@ class GatewayBridge:
         if trace_id is not None:
             track = self._gw_trace_open(tracer, op, trace_id,
                                         pre_ns, admitted)
-        self._run_until_done(deployment, admitted, lambda: bool(box))
+        self._drive(deployment, admitted, done)
         sim_latency = deployment.sim.now_ns - admitted
-        if not box or box[0] is None:
+        if done.value is None:
             result = OpResult(504, {"error": "write timed out in-fleet",
                                     "op": "write",
                                     "thing": op.thing, "action": op.name,
@@ -567,7 +608,7 @@ class GatewayBridge:
                               sim_latency_ns=sim_latency)
         else:
             result = OpResult(200, {
-                "action": op.name, "thing": op.thing, "status": box[0],
+                "action": op.name, "thing": op.thing, "status": done.value,
             }, admitted_ns=admitted, sim_latency_ns=sim_latency)
         if trace_id is not None:
             self._gw_trace_close(tracer, op, trace_id, track, result)
@@ -583,14 +624,14 @@ class GatewayBridge:
             return OpResult(404, {"error": f"no such driver: {op.name!r}"})
         pre_ns = deployment.sim.now_ns
         admitted = self._admit(deployment)
-        done = {"hit": False}
+        done = _Completion(deployment.sim)
         wanted = spec.device_id.value
 
         def on_event(event) -> None:
             if (event.kind in ("driver-installed", "dup-upload-suppressed")
                     and event.device_id is not None
                     and event.device_id.value == wanted):
-                done["hit"] = True
+                done(True)
 
         # push_driver sends straight through the stack without its own
         # trace allocation, so the gateway mints the request's trace id
@@ -615,12 +656,11 @@ class GatewayBridge:
                                          result)
                 result.trace_id = trace_id
                 return result
-            self._run_until_done(deployment, admitted,
-                                 lambda: done["hit"])
+            self._drive(deployment, admitted, done)
         finally:
             thing.remove_listener(on_event)
         sim_latency = deployment.sim.now_ns - admitted
-        if not done["hit"]:
+        if not done.fired:
             result = OpResult(504, {"error": "install not confirmed in-fleet",
                                     "op": "install",
                                     "thing": op.thing, "driver": op.name,

@@ -186,6 +186,13 @@ class Simulator:
                    "ff_events", "_batch_names"),
     }
 
+    #: Raised by :meth:`stop` from inside an event callback.  Only the
+    #: class default (False) exists between runs: the run that honours
+    #: a stop deletes the instance attribute on return, so the flag is
+    #: never instance state between calls and never reaches a
+    #: checkpoint.
+    _stop_requested = False
+
     def __init__(self) -> None:
         self._now_ns = 0
         self._seq = 0
@@ -299,13 +306,13 @@ class Simulator:
 
         ``fast_forward=True`` certifies the task for closed-form idle
         fast-forward (the ``FastForwardable`` protocol): the callback
-        must never schedule or cancel events.  ``independent=True``
-        (the default) further asserts the callback's state is disjoint
-        from every other certified task and clock-free, so occurrences
-        may be applied per-handle instead of in merged order; pass
-        ``independent=False`` for readers of shared state (telemetry
-        samplers), which are then fired one-by-one in exact merged
-        order inside the window.  ``bulk(n)``, when given, must have
+        must never schedule or cancel events, nor call :meth:`stop`.
+        ``independent=True`` (the default) further asserts the
+        callback's state is disjoint from every other certified task
+        and clock-free, so occurrences may be applied per-handle
+        instead of in merged order; pass ``independent=False`` for
+        readers of shared state (telemetry samplers), which are then
+        fired one-by-one in exact merged order inside the window.  ``bulk(n)``, when given, must have
         the exact cumulative effect — bitwise, for float accumulators —
         of ``n`` sequential callbacks.
         """
@@ -332,11 +339,26 @@ class Simulator:
             return True
         return False
 
+    def stop(self) -> None:
+        """Make the running :meth:`run` / :meth:`run_until` return right
+        after the current event.
+
+        Call it from an event callback.  The clock stays at that
+        event's instant; later events, same-instant ones included, stay
+        queued for the next call.  A completion-driven caller uses it
+        to end a drive at the event it was waiting for instead of
+        polling in fixed slices.
+        """
+        self._stop_requested = True
+
     def run(self, *, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains.  Returns events executed."""
         count = 0
         while self.step():
             count += 1
+            if self._stop_requested:
+                del self._stop_requested
+                break
             if max_events is not None and count >= max_events:
                 break
         return count
@@ -349,7 +371,9 @@ class Simulator:
         before the current time raises :class:`SimulationError`; with
         ``strict=False`` it clamps to now instead (runs nothing,
         returns 0) — convenient for replay drivers that feed
-        already-passed instants.
+        already-passed instants.  An event that calls :meth:`stop`
+        ends the run right after it, with the clock left at that
+        event's instant rather than at ``time_ns``.
         """
         time_ns = int(time_ns)
         if time_ns < self._now_ns:
@@ -399,11 +423,18 @@ class Simulator:
             if batch is not None and head.name in batch:
                 count += self._drain_batch(
                     head_time, head.name, batch[head.name], time_ns)
+                if self._stop_requested:
+                    break
                 continue
             self.step()
             count += 1
+            if self._stop_requested:
+                break
             if max_events is not None and count >= max_events:
                 return count
+        if self._stop_requested:
+            del self._stop_requested
+            return count
         self._now_ns = max(self._now_ns, time_ns)
         return count
 
@@ -658,8 +689,9 @@ class Simulator:
                      target_ns: int) -> int:
         """Pop the run of same-name events at ``t0`` (within
         ``slack_ns``) in one sweep, then fire them in a tight loop.
-        Hook calls, clock updates and cancellation checks stay
-        per-event, so semantics are identical to stepping."""
+        Hook calls, clock updates, cancellation checks and
+        :meth:`stop` stay per-event, so semantics are identical to
+        stepping."""
         queue = self._queue
         run: list[_ScheduledEvent] = []
         limit = min(t0 + slack_ns, target_ns)
@@ -677,7 +709,7 @@ class Simulator:
             run.append(ev)
         hooks = self._trace_hooks
         fired = 0
-        for ev in run:
+        for index, ev in enumerate(run):
             if ev.cancelled:  # cancelled by an earlier event in the run
                 continue
             self._now_ns = ev.time_ns
@@ -685,6 +717,15 @@ class Simulator:
                 hook(ev.time_ns, name)
             ev.callback()
             fired += 1
+            if self._stop_requested:
+                # The popped, unfired rest goes back under its original
+                # (time, seq) keys: it fires as if it was never popped.
+                for rest in run[index + 1:]:
+                    if not rest.cancelled:
+                        rest.popped = False
+                        heapq.heappush(self._queue,
+                                       (rest.time_ns, rest.seq, rest))
+                break
         return fired
 
     def run_for(self, duration_ns: int, *, max_events: Optional[int] = None) -> int:

@@ -36,6 +36,9 @@ class DriverEventDelivery:
     after: Optional[Callable[[], None]] = None
 
     def execute(self) -> int:
+        return self._run(self.runtime.on_signal, self.runtime.on_return)
+
+    def _run(self, signal_sink, return_sink) -> int:
         handler = self.runtime.instance.image.find_handler(self.kind, self.name_id)
         cycles = 0
         try:
@@ -44,8 +47,8 @@ class DriverEventDelivery:
                     self.runtime.instance,
                     handler,
                     self.args,
-                    signal_sink=self.runtime.on_signal,
-                    return_sink=self.runtime.on_return,
+                    signal_sink=signal_sink,
+                    return_sink=return_sink,
                 )
                 cycles = result.cycles
             else:
@@ -59,6 +62,47 @@ class DriverEventDelivery:
         kind = "error" if self.kind == HANDLER_KIND_ERROR else "event"
         name = name_for_id(self.name_id, self.runtime.instance.image.local_names)
         return f"{self.runtime.label}.{kind}:{name}"
+
+
+@dataclass
+class ReadRequestDelivery(DriverEventDelivery):
+    """The ``read`` event of one remote read request.
+
+    Returns pair with requests in FIFO order.  A driver ignores a read
+    it cannot serve — still running its ``init`` chain after a
+    (re)activation, say — by running the handler without signalling or
+    returning.  If no earlier request is outstanding, nothing is then
+    in flight that could answer this one: left at the head of the FIFO
+    it would wait forever, or take the return of the next read and
+    leave that one waiting instead.  So it completes at once with None
+    (an error reply).  Behind an earlier outstanding request it stays
+    queued for the next return, as before: a driver busy with a read
+    (an RFID reader waiting for a card) answers the waiters in turn.
+    """
+
+    request: Optional[RequestCallback] = None
+
+    def execute(self) -> int:
+        runtime = self.runtime
+        acted = False
+
+        def on_signal(target: int, symbol: int, args: Tuple[int, ...]) -> None:
+            nonlocal acted
+            acted = True
+            runtime.on_signal(target, symbol, args)
+
+        def on_return(value: ReturnValue) -> None:
+            nonlocal acted
+            acted = True
+            runtime.on_return(value)
+
+        try:
+            return self._run(on_signal, on_return)
+        finally:
+            pending = runtime._pending
+            if not acted and pending and pending[0] is self.request:
+                pending.popleft()
+                self.request(None)
 
 
 @dataclass
@@ -133,11 +177,12 @@ class DriverRuntime:
         *,
         error: bool = False,
         after: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Post a named event (or error) to this driver via the router."""
+    ) -> bool:
+        """Post a named event (or error) to this driver via the router;
+        False when the router's queue was full and dropped it."""
         name_id = self._resolve_name(name)
         kind = HANDLER_KIND_ERROR if error else HANDLER_KIND_EVENT
-        self.router.post(
+        return self.router.post(
             DriverEventDelivery(self, kind, name_id, tuple(args), after),
             error=error,
         )
@@ -162,11 +207,19 @@ class DriverRuntime:
         return self.instance.image.find_handler(HANDLER_KIND_EVENT, known) is not None
 
     def request_read(self, callback: RequestCallback) -> bool:
-        """Post a ``read`` event; *callback* fires on the driver's return."""
+        """Post a ``read`` event; *callback* fires on the driver's return
+        (or with None, see :class:`ReadRequestDelivery`).  False, with
+        nothing queued, when the driver cannot read or the router's
+        queue is full."""
         if not self.has_handler("read"):
             return False
         self._pending.append(callback)
-        self.post_event("read")
+        delivery = ReadRequestDelivery(
+            self, HANDLER_KIND_EVENT, self._resolve_name("read"),
+            request=callback)
+        if not self.router.post(delivery):
+            self._pending.pop()
+            return False
         return True
 
     def request_write(self, value: int, callback: RequestCallback) -> bool:
@@ -191,7 +244,9 @@ class DriverRuntime:
                     pass
                 once(None)
 
-        self.post_event("write", (value,), after=on_complete)
+        if not self.post_event("write", (value,), after=on_complete):
+            self._pending.pop()
+            return False
         return True
 
     # ------------------------------------------------------------------ sinks
@@ -220,5 +275,6 @@ __all__ = [
     "DriverRuntime",
     "DriverEventDelivery",
     "NativeCommandDelivery",
+    "ReadRequestDelivery",
     "RequestCallback",
 ]

@@ -173,6 +173,32 @@ def test_request_against_missing_handler_fails_fast():
     assert not runtime.request_read(lambda rv: None)
 
 
+def test_read_ignored_at_the_fifo_head_fails_at_once():
+    # A driver not ready yet ignores the read: nothing in flight could
+    # ever return for it, so it completes with None instead of waiting.
+    source = ("bool ready;\nevent init():\n    ready = false;\n"
+              "event destroy():\n    ready = false;\n"
+              "event read():\n    if ready:\n        return 1;\n")
+    sim, _, runtime = make_runtime(source)
+    runtime.activate()
+    results = []
+    assert runtime.request_read(results.append)
+    sim.run()
+    assert results == [None]
+    assert runtime.pending_requests == 0
+
+
+def test_requests_refused_when_the_router_queue_is_full():
+    sim = Simulator()
+    router = EventRouter(sim, queue_limit=1)
+    runtime = DriverRuntime(compile_source(COUNTER_DRIVER, device_id=5),
+                            {}, router, VirtualMachine())
+    assert router.post(CallbackDelivery(lambda: None, cycles=0))
+    assert not runtime.request_read(lambda rv: None)
+    assert not runtime.request_write(1, lambda rv: None)
+    assert runtime.pending_requests == 0
+
+
 def test_deactivate_fires_destroy_and_flushes_pending():
     sim, _, runtime = make_runtime()
     runtime.activate()
