@@ -9,7 +9,8 @@ Layers:
 * :mod:`repro.gateway.thing_description` — pure TD generation from the
   driver catalogue and registry state;
 * :mod:`repro.gateway.bridge` — the sim-hosting thread, admission
-  pacing, request log, replay determinism;
+  pacing, request log, replay determinism, the change-driven
+  ``GET /things`` directory;
 * :mod:`repro.gateway.wire` — stdlib HTTP/1.1 + RFC 6455 primitives;
 * :mod:`repro.gateway.server` — asyncio routing and streaming;
 * :mod:`repro.gateway.obs` — request-scoped observability: latency

@@ -62,6 +62,7 @@ from repro.gateway.thing_description import (
     directory_entry,
     thing_description,
 )
+from repro.gateway.wire import canonical_json
 from repro.sim.kernel import NS_PER_MS, ns_from_s
 from repro.snapshot.checkpoint import digest_document
 
@@ -126,6 +127,10 @@ class OpResult:
     #: The observability ring/journal record for this op (shared dict:
     #: the server folds reply-write time into it after the drain).
     record: Optional[dict] = field(default=None, repr=False, compare=False)
+    #: ``body`` already in canonical JSON (the directory listing): the
+    #: server writes these bytes as they are.
+    encoded: Optional[bytes] = field(default=None, repr=False,
+                                     compare=False)
 
     @property
     def ok(self) -> bool:
@@ -160,6 +165,26 @@ class _Completion:
         self.at_ns = self._sim.now_ns
         if self.driving:
             self._sim.stop()
+
+
+class _DirectoryRow:
+    """One Thing's ``GET /things`` row and the stamp it was built at.
+
+    The stamp is the Thing's identified peripheral map itself (see
+    :attr:`PeripheralController.known_map`): identification rounds and
+    resets replace that map, so a row whose stamp is still the current
+    map is current.  Holding the map keeps it alive, so the identity
+    can never be a recycled one.
+    """
+
+    __slots__ = ("gid", "controller", "known", "entry", "fragment")
+
+    def __init__(self, gid: int, controller) -> None:
+        self.gid = gid
+        self.controller = controller
+        self.known = None
+        self.entry: dict = {}
+        self.fragment = b""
 
 
 class RequestLog:
@@ -224,6 +249,14 @@ class GatewayBridge:
             first = deployment.spec.first_thing
             for local in range(len(deployment.things)):
                 self._things[first + local] = (deployment, local)
+        #: The ``GET /things`` directory, in id order.  Derived state,
+        #: built and read on the bridge thread only, never checkpointed:
+        #: every row starts stale and is rebuilt when its stamp moves.
+        self._directory: List[_DirectoryRow] = [
+            _DirectoryRow(gid, self._things[gid][0]
+                          .things[self._things[gid][1]].controller)
+            for gid in sorted(self._things)]
+        self._directory_bytes = b""
         self._queue: "queue.Queue" = queue.Queue()
         self._thread: Optional[threading.Thread] = None
         self._running = False
@@ -490,14 +523,29 @@ class GatewayBridge:
 
     # --- read-only ops ----------------------------------------------------
     def _op_list(self, op: Op) -> OpResult:
+        """The directory: re-encode only the rows whose Thing's
+        identified map changed since the last listing, then join the
+        canonical fragments.  The body's rows are copies, so a caller
+        editing them cannot reach a later listing."""
         del op
-        things = [
-            directory_entry(gid, len(self._things[gid][0]
-                                     .things[self._things[gid][1]]
-                                     .connected_peripherals()))
-            for gid in sorted(self._things)
-        ]
-        return OpResult(200, {"things": things})
+        rows = self._directory
+        stale = not self._directory_bytes
+        for row in rows:
+            known = row.controller.known_map
+            if known is row.known:
+                continue
+            count = len(known)
+            if row.known is None or count != row.entry["peripherals"]:
+                row.entry = directory_entry(row.gid, count)
+                row.fragment = canonical_json(row.entry)
+                stale = True
+            row.known = known
+        if stale:
+            self._directory_bytes = (b'{"things":['
+                                     + b",".join([r.fragment for r in rows])
+                                     + b"]}")
+        return OpResult(200, {"things": [dict(r.entry) for r in rows]},
+                        encoded=self._directory_bytes)
 
     def _op_td(self, op: Op) -> OpResult:
         deployment, thing = self._resolve(op)

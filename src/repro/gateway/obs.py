@@ -36,6 +36,7 @@ trace events or digests.
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
 from collections import deque
@@ -101,7 +102,11 @@ class GatewayObservability:
         self.config = config or GatewayObsConfig()
         self.bank = SeriesBank(capacity=self.config.series_capacity)
         self.ring: Deque[dict] = deque(maxlen=self.config.ring_size)
-        self.journal: List[dict] = []
+        #: The slow-op journal: a min-heap of ``(wall_ms, -seq, record)``
+        #: holding the worst ``journal_size`` ops.  Its root is the op to
+        #: drop next: the fastest, and of equally fast ones the newest.
+        self._journal: List[Tuple[float, int, dict]] = []
+        self._journal_seq = 0
         self.last_slo_status: str = "no-data"
         self.flight_dumps: List[str] = []
         self._origin_ns = time.perf_counter_ns()
@@ -225,11 +230,13 @@ class GatewayObservability:
         return record
 
     def _journal_offer(self, record: dict) -> None:
-        journal = self.journal
-        journal.append(record)
-        if len(journal) > self.config.journal_size:
-            journal.sort(key=lambda r: r["wall_ms"], reverse=True)
-            del journal[self.config.journal_size:]
+        self._journal_seq += 1
+        item = (record["wall_ms"], -self._journal_seq, record)
+        if len(self._journal) < self.config.journal_size:
+            heapq.heappush(self._journal, item)
+        else:
+            # Full: the new op displaces the root only if it is slower.
+            heapq.heappushpop(self._journal, item)
 
     def record_reply(self, record: Optional[dict], reply_ns: int) -> None:
         """Reply drained on the socket (asyncio-thread context)."""
@@ -292,8 +299,7 @@ class GatewayObservability:
 
     def journal_snapshot(self) -> List[dict]:
         """Worst ops first, each a copy safe to serialize."""
-        return [dict(r) for r in sorted(
-            self.journal, key=lambda r: r["wall_ms"], reverse=True)]
+        return [dict(r) for _, _, r in sorted(self._journal, reverse=True)]
 
     # ----------------------------------------------------------- flight loop
     def maybe_check_slo(

@@ -144,7 +144,7 @@ class GatewayServer:
                     request = await read_request(reader)
                 except WireError as exc:
                     writer.write(response_bytes(
-                        400, {"error": str(exc)}, keep_alive=False))
+                        exc.status, {"error": str(exc)}, keep_alive=False))
                     await writer.drain()
                     break
                 if request is None:
@@ -257,6 +257,9 @@ class GatewayServer:
             op = Op(kind=op.kind, thing=op.thing, name=op.name,
                     value=op.value, request_id=request_id)
         result: OpResult = await asyncio.wrap_future(self.bridge.submit(op))
+        if result.encoded is not None:
+            return (result.status, result.encoded, "application/json",
+                    result.record)
         body = dict(result.body)
         if result.admitted_ns:
             body["sim"] = {"admitted_ns": result.admitted_ns,

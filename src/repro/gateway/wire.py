@@ -35,12 +35,30 @@ REASONS = {
     405: "Method Not Allowed",
     408: "Request Timeout",
     500: "Internal Server Error",
+    501: "Not Implemented",
     504: "Gateway Timeout",
 }
 
 
 class WireError(Exception):
-    """Malformed or oversized input from the peer."""
+    """Malformed, oversized or unsupported input from the peer.
+
+    ``status`` is the HTTP answer: 400 for a malformed request, 501 for
+    a framing this server does not implement.  Either way the server
+    closes the connection after answering, because it can no longer
+    tell where the next request starts.
+    """
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def canonical_json(body: object) -> bytes:
+    """The canonical JSON encoding: sorted keys, no spaces, UTF-8 — the
+    serialization of every JSON response body."""
+    return json.dumps(body, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
 
 
 @dataclass
@@ -99,7 +117,18 @@ async def read_request(reader) -> Optional[Request]:
         name, sep, value = line.partition(":")
         if not sep:
             raise WireError(f"bad header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        if name == "content-length" and name in headers:
+            # Two lengths frame the body two ways; picking one would
+            # let the other's bytes be read as the next request.
+            raise WireError("duplicate Content-Length")
+        headers[name] = value.strip()
+    coding = headers.get("transfer-encoding")
+    if coding is not None and coding.lower() != "identity":
+        # Chunked (or any coded) bodies are not implemented; ignoring
+        # the coding would parse the chunks as the next request.
+        raise WireError(f"unsupported Transfer-Encoding: {coding!r}",
+                        status=501)
     body = b""
     length = headers.get("content-length")
     if length is not None:
@@ -143,8 +172,7 @@ def response_bytes(status: int, body: object = None, *,
     elif isinstance(body, str):
         payload = body.encode("utf-8")
     else:
-        payload = json.dumps(body, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8")
+        payload = canonical_json(body)
     reason = REASONS.get(status, "Unknown")
     head = [
         f"HTTP/1.1 {status} {reason}",
@@ -226,6 +254,7 @@ __all__ = [
     "WS_OP_PING",
     "WS_OP_PONG",
     "WS_OP_TEXT",
+    "canonical_json",
     "read_request",
     "response_bytes",
     "split_target",

@@ -12,7 +12,7 @@ debouncing a real implementation needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.hw.control_board import ControlBoard, IdentificationReport
 from repro.hw.device_id import DeviceId
@@ -65,6 +65,15 @@ class PeripheralController:
     def known_peripherals(self) -> Dict[int, DeviceId]:
         """Last identified channel -> device id map."""
         return dict(self._known)
+
+    @property
+    def known_map(self) -> Mapping[int, DeviceId]:
+        """The last identified map itself, uncopied: read it, never
+        mutate it.  Every identification round and every reset
+        *replaces* the map instead of editing it, so its identity is a
+        change stamp — a caller holding the previous map knows, by
+        ``is``, whether anything was identified since."""
+        return self._known
 
     def on_change(self, listener: ChangeListener) -> None:
         """Register for identification outcomes (the Thing subscribes)."""

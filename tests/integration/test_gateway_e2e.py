@@ -235,3 +235,76 @@ async def test_recorded_request_log_replays_to_identical_digest(
     assert replayed.digest() == digest
     assert [e["admitted_ns"] for e in replayed.log.entries] == \
         [e["admitted_ns"] for e in bridge.log.entries]
+
+
+async def _raw_exchange(server, raw: bytes) -> bytes:
+    """Send *raw* on a fresh connection; everything read until EOF."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    writer.write(raw)
+    await writer.drain()
+    data = await asyncio.wait_for(reader.read(), timeout=30.0)
+    writer.close()
+    return data
+
+
+@pytest.mark.asyncio
+async def test_directory_bytes_over_http_are_the_canonical_encoding(
+        gateway_server):
+    from repro.gateway.thing_description import directory_entry
+    from repro.gateway.wire import canonical_json
+
+    server = await gateway_server()
+    bridge = server.bridge
+
+    def fresh() -> bytes:
+        rows = []
+        for gid in sorted(bridge._things):
+            deployment, local = bridge._things[gid]
+            thing = deployment.things[local]
+            rows.append(directory_entry(
+                gid, len(thing.connected_peripherals())))
+        return canonical_json({"things": rows})
+
+    for _ in range(2):  # cold rows, then the cached ones
+        data = await _raw_exchange(
+            server, b"GET /things HTTP/1.1\r\nHost: h\r\n"
+                    b"Connection: close\r\n\r\n")
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert f"Content-Length: {len(body)}".encode() in head
+        assert body == bridge.run_on_thread(fresh)
+        assert len(json.loads(body)["things"]) == 8
+    await server.close()
+
+
+@pytest.mark.asyncio
+async def test_chunked_request_gets_501_and_close_not_a_desync(
+        gateway_server):
+    server = await gateway_server(warmup_ns=0)
+    smuggled = b"GET /healthz HTTP/1.1\r\nHost: h\r\n\r\n"
+    data = await _raw_exchange(
+        server,
+        b"POST /things/0/actions/install HTTP/1.1\r\nHost: h\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n"
+        + b"%x\r\n%s\r\n0\r\n\r\n" % (len(smuggled), smuggled))
+    # One answer, then the server hangs up: the chunk bytes are never
+    # read as a request of their own.
+    assert data.count(b"HTTP/1.1 ") == 1
+    assert data.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+    assert b"Connection: close" in data
+    await server.close()
+
+
+@pytest.mark.asyncio
+async def test_duplicate_content_length_gets_400_and_close(gateway_server):
+    server = await gateway_server(warmup_ns=0)
+    smuggled = b"GET /healthz HTTP/1.1\r\nHost: h\r\n\r\n"
+    data = await _raw_exchange(
+        server,
+        b"POST /things/0/actions/install HTTP/1.1\r\nHost: h\r\n"
+        b"Content-Length: %d\r\nContent-Length: 0\r\n\r\n%s"
+        % (len(smuggled), smuggled))
+    assert data.count(b"HTTP/1.1 ") == 1
+    assert data.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert b"Content-Length" in data.partition(b"\r\n\r\n")[2]
+    await server.close()

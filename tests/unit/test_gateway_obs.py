@@ -7,6 +7,7 @@ overrides, so every assertion is exact — no sleeping, no sockets.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gateway.bridge import Op, OpResult
 from repro.gateway.obs import (
@@ -102,6 +103,31 @@ class TestJournalAndRing:
         worst = obs.journal_snapshot()
         assert len(worst) == 4
         assert [r["index"] for r in worst] == [19, 18, 17, 16]
+
+    def test_journal_ties_drop_the_newest(self):
+        obs = GatewayObservability(GatewayObsConfig(journal_size=3))
+        for i, exec_ms in enumerate([5.0, 1.0, 1.0, 1.0, 9.0, 1.0]):
+            _record(obs, i, queue_ms=0.0, exec_ms=exec_ms)
+        assert [r["index"] for r in obs.journal_snapshot()] == [4, 0, 1]
+
+    @given(st.integers(min_value=0, max_value=6),
+           st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]),
+                    max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_journal_matches_a_sort_and_truncate_reference(self, size,
+                                                           walls):
+        """The bounded heap keeps what appending, stable-sorting worst
+        first and truncating to N after every op kept, in that order."""
+        obs = GatewayObservability(GatewayObsConfig(journal_size=size))
+        reference = []
+        for i, wall in enumerate(walls):
+            reference.append(_record(obs, i, queue_ms=0.0, exec_ms=wall))
+            if len(reference) > size:
+                reference.sort(key=lambda r: r["wall_ms"], reverse=True)
+                del reference[size:]
+        expected = sorted(reference, key=lambda r: r["wall_ms"],
+                          reverse=True)
+        assert obs.journal_snapshot() == expected
 
     def test_ring_bounded(self):
         obs = GatewayObservability(GatewayObsConfig(ring_size=8))
