@@ -9,8 +9,9 @@ forks, so a shard's entire event sequence is a deterministic function
 of ``(scenario, shard index)``.
 
 Instrumentation points on the plug/discover/install paths (Thing and
-Client event listeners, the simulator trace hook, network/stack/router
-stats) feed the shard's :class:`~repro.fleet.metrics.Metrics`.
+Client event listeners, network/stack/router stats) feed the shard's
+:class:`~repro.fleet.metrics.Metrics`.  Its ``sim.events`` counter is
+a live view of the kernel's own executed-event count.
 """
 
 from __future__ import annotations
@@ -40,6 +41,21 @@ from repro.sim.rng import RngRegistry
 GATEWAY_NODE = 0
 CLIENT_NODE = 1
 FIRST_THING_NODE = 2
+
+
+class _KernelEventCount:
+    """The ``sim.events`` metrics counter: reads the kernel's count, so
+    it is exact at every instant (telemetry samples it inside
+    fast-forward windows, the gateway between ops)."""
+
+    __slots__ = ("sim",)
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+
+    @property
+    def value(self) -> int:
+        return self.sim.events_executed
 
 
 class ShardDeployment:
@@ -145,9 +161,7 @@ class ShardDeployment:
 
     # ------------------------------------------------------- instrumentation
     def _wire_instrumentation(self) -> None:
-        # The bulk variant keeps the counter identical when a
-        # fast-forward window or batch drain applies n events at once.
-        self.sim.add_trace_hook(self._on_sim_event, bulk=self._on_sim_events)
+        self.adopt_event_count()
         for thing in self.things:
             thing.add_listener(
                 lambda event, t=thing: self._on_thing_event(t, event)
@@ -155,13 +169,21 @@ class ShardDeployment:
         self.client.add_listener(self._on_client_event)
         self.manager.add_listener(self._on_manager_event)
 
-    def _on_sim_event(self, time_ns: int, name: str) -> None:
-        del time_ns, name
-        self.metrics.inc("sim.events")
+    def adopt_event_count(self) -> None:
+        """Make ``sim.events`` read the kernel's executed-event count.
 
-    def _on_sim_events(self, time_ns: int, name: str, n: int) -> None:
-        del time_ns, name
-        self.metrics.inc("sim.events", n)
+        A shard checkpointed before the kernel kept that count holds
+        its running total in a plain counter; the kernel resumes from
+        it.  :func:`repro.snapshot.checkpoint.load_shard` calls this
+        once the restored shard has passed its audit.
+        """
+        counters = self.metrics._counters
+        saved = counters.get("sim.events")
+        if isinstance(saved, _KernelEventCount):
+            return
+        if saved is not None:
+            self.sim.events_executed = saved.value
+        counters["sim.events"] = _KernelEventCount(self.sim)
 
     def _on_thing_event(self, thing: Thing, event: ThingEvent) -> None:
         kind = event.kind

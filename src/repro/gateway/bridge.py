@@ -187,6 +187,29 @@ class _DirectoryRow:
         self.fragment = b""
 
 
+class _Forwarder:
+    """A bridge listener on a shard's client, Thing or telemetry
+    collector that publishes the events to stream subscribers.
+
+    Bridge state, like the directory: it reaches the bridge, whose
+    queue and thread lock a shard checkpoint cannot carry and a
+    restored shard must not reach.  A checkpoint of a shard on an open
+    bridge stores each forwarder as one that forwards nothing.
+    """
+
+    __slots__ = ("publish",)
+
+    def __init__(self, publish: Optional[Callable] = None) -> None:
+        self.publish = publish
+
+    def __call__(self, *args) -> None:
+        if self.publish is not None:
+            self.publish(*args)
+
+    def __reduce__(self):
+        return _Forwarder, ()
+
+
 class RequestLog:
     """An append-only record of every operation a bridge served."""
 
@@ -764,8 +787,9 @@ class GatewayBridge:
                     "latency_s": event.latency_s, "detail": event.detail,
                 })
 
-            deployment.client.add_listener(on_client)
-            self._forwarders.append((deployment.client, on_client))
+            forwarder = _Forwarder(on_client)
+            deployment.client.add_listener(forwarder)
+            self._forwarders.append((deployment.client, forwarder))
             for local, thing in enumerate(deployment.things):
                 def on_thing(event, gid=first + local, shard=shard):
                     self._publish({
@@ -776,8 +800,9 @@ class GatewayBridge:
                         "detail": event.detail,
                     })
 
-                thing.add_listener(on_thing)
-                self._forwarders.append((thing, on_thing))
+                forwarder = _Forwarder(on_thing)
+                thing.add_listener(forwarder)
+                self._forwarders.append((thing, forwarder))
             if deployment.telemetry is not None:
                 def on_sample(time_ns, collector, shard=shard):
                     self._publish({
@@ -790,9 +815,10 @@ class GatewayBridge:
                         },
                     })
 
-                deployment.telemetry.add_sample_listener(on_sample)
+                forwarder = _Forwarder(on_sample)
+                deployment.telemetry.add_sample_listener(forwarder)
                 self._telemetry_listeners.append(
-                    (deployment.telemetry, on_sample))
+                    (deployment.telemetry, forwarder))
 
     def _publish(self, message: dict) -> None:
         if not self._subscribers:

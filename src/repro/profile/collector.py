@@ -120,7 +120,7 @@ class ShardProfiler:
     # ------------------------------------------------------------ kernel hook
     def on_event(self, name: str, prev_ns: int, time_ns: int,
                  wall_ns: int) -> None:
-        """One kernel event just ran (called from the profiled step).
+        """One kernel event just ran (called from the instrumented step).
 
         *prev_ns* (the kernel clock before the event) is ignored for
         gap purposes — see ``_last_event_ns``.

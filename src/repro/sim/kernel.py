@@ -6,6 +6,12 @@ this kernel.  Time is kept in integer nanoseconds so that runs are exactly
 reproducible: two events scheduled for the same instant fire in the order
 they were scheduled (FIFO tie-break via a monotonically increasing
 sequence number).
+
+The kernel counts the events it executes (:attr:`Simulator.events_executed`)
+on every path that runs one: stepping, batch drains and fast-forward
+windows.  Tracing and profiling attach to one instrumented
+``step``/``schedule_at`` pair that a simulator binds only while a tracer
+or profiler is attached; without either it runs the plain methods.
 """
 
 from __future__ import annotations
@@ -54,8 +60,8 @@ class _ScheduledEvent:
         self.popped = False
         self.ff = None
         # ``trace_id`` is declared in __slots__ but deliberately left
-        # unassigned: the traced scheduling path (attach_tracer) sets it,
-        # and untraced simulations pay nothing for it — hasattr() stays
+        # unassigned: the instrumented scheduling path sets it under a
+        # tracer, and untraced simulations pay nothing for it — hasattr() stays
         # False exactly as with the previous dynamic attribute.
         # ``ff`` defaults to None and is set only on events owned by a
         # fast-forward-certified PeriodicHandle, where it points back at
@@ -179,9 +185,9 @@ class Simulator:
     #: attribute set changes shape.
     SNAPSHOT_SCHEMA = {
         "layer": "sim",
-        "version": 3,
+        "version": 4,
         "fields": ("_now_ns", "_seq", "_queue", "_tombstones", "_running",
-                   "_trace_hooks", "_bulk_hooks", "tracer", "profiler",
+                   "events_executed", "tracer", "profiler",
                    "_ff_enabled", "_ff_skip_until", "ff_windows",
                    "ff_events", "_batch_names"),
     }
@@ -204,12 +210,10 @@ class Simulator:
         #: compact the heap once tombstones outnumber live events.
         self._tombstones = 0
         self._running = False
-        self._trace_hooks: list[Callable[[int, str], None]] = []
-        #: Parallel to ``_trace_hooks``: each slot is either None or a
-        #: bulk variant ``hook(time_ns, name, n)`` whose effect must
-        #: equal n sequential per-event calls.  Fast-forward and batch
-        #: draining engage only when every registered hook has one.
-        self._bulk_hooks: list[Optional[Callable[[int, str, int], None]]] = []
+        #: Events executed so far, counted before each callback runs:
+        #: stepped, batch-drained and fast-forwarded events alike, so a
+        #: reader inside any callback sees every earlier event counted.
+        self.events_executed = 0
         #: Closed-form idle fast-forward (see :meth:`run_until`).
         self._ff_enabled = False
         #: Suppression marker: no fast-forward window is attempted for
@@ -224,12 +228,11 @@ class Simulator:
         #: Optional :class:`repro.obs.Tracer`.  None (the default)
         #: keeps every instrumentation point in the stack down to a
         #: single attribute check; the kernel's own hot paths carry no
-        #: tracer branches at all until :meth:`attach_tracer` swaps the
-        #: traced copies in.
+        #: tracer branches at all until :meth:`attach_tracer` binds the
+        #: instrumented pair.
         self.tracer = None
-        #: Optional :class:`repro.profile.ShardProfiler`.  Same
-        #: attach-time shadowing contract as ``tracer``: a simulator
-        #: without a profiler runs the branch-free original paths.
+        #: Optional :class:`repro.profile.ShardProfiler`, attached the
+        #: same way as ``tracer``.
         self.profiler = None
 
     # ------------------------------------------------------------------ time
@@ -333,8 +336,7 @@ class Simulator:
                 self._tombstones -= 1
                 continue
             self._now_ns = time_ns
-            for hook in self._trace_hooks:
-                hook(time_ns, event.name)
+            self.events_executed += 1
             event.callback()
             return True
         return False
@@ -389,13 +391,12 @@ class Simulator:
         # per-event records cannot be synthesized for skipped work.
         ff_ok = (self._ff_enabled and max_events is None
                  and self.tracer is None)
-        # Batch draining preserves per-event hook/callback semantics but
-        # not per-event profiler attribution, so it yields to both
+        # Batch draining preserves per-event callback semantics but not
+        # per-event profiler attribution, so it yields to both
         # instrumentation modes.
         batch = self._batch_names if (
             self._batch_names and self.tracer is None
             and self.profiler is None) else None
-        bulk_ok: Optional[bool] = None
         # NOTE: ``self._queue`` must be re-read every iteration — any
         # callback can cancel events and trip ``_maybe_compact``, which
         # rebinds the heap to a fresh list.
@@ -411,15 +412,10 @@ class Simulator:
                 break
             if ff_ok and head_time >= self._ff_skip_until and \
                     head.ff is not None:
-                if bulk_ok is None:
-                    bulk_ok = all(b is not None for b in self._bulk_hooks)
-                if bulk_ok:
-                    skipped = self._fast_forward_window(time_ns)
-                    if skipped:
-                        count += skipped
-                        continue
-                else:
-                    ff_ok = False
+                skipped = self._fast_forward_window(time_ns)
+                if skipped:
+                    count += skipped
+                    continue
             if batch is not None and head.name in batch:
                 count += self._drain_batch(
                     head_time, head.name, batch[head.name], time_ns)
@@ -494,8 +490,6 @@ class Simulator:
         last_t = [0] * n_items
         final: list = [None] * n_items
         seq = self._seq
-        hooks = self._trace_hooks
-        bulks = self._bulk_hooks
         push = heapq.heappush
         pop = heapq.heappop
         applied = 0
@@ -508,10 +502,8 @@ class Simulator:
                     continue
                 pending[j] = 0
                 hj = items[j][3]
-                t_j = last_t[j]
                 name_j = items[j][2].name
-                for b in bulks:
-                    b(t_j, name_j, p)
+                self.events_executed += p
                 self._seq = seq
                 bulk_cb = hj._bulk
                 if bulk_cb is not None:
@@ -570,8 +562,7 @@ class Simulator:
                 self._now_ns = t
                 self._seq = seq
                 name = items[i][2].name
-                for hook in hooks:
-                    hook(t, name)
+                self.events_executed += 1
                 h._callback()
                 if self._seq != seq:
                     raise SimulationError(
@@ -689,7 +680,7 @@ class Simulator:
                      target_ns: int) -> int:
         """Pop the run of same-name events at ``t0`` (within
         ``slack_ns``) in one sweep, then fire them in a tight loop.
-        Hook calls, clock updates, cancellation checks and
+        Event counting, clock updates, cancellation checks and
         :meth:`stop` stay per-event, so semantics are identical to
         stepping."""
         queue = self._queue
@@ -707,14 +698,12 @@ class Simulator:
             heapq.heappop(queue)
             ev.popped = True
             run.append(ev)
-        hooks = self._trace_hooks
         fired = 0
         for index, ev in enumerate(run):
             if ev.cancelled:  # cancelled by an earlier event in the run
                 continue
             self._now_ns = ev.time_ns
-            for hook in hooks:
-                hook(ev.time_ns, name)
+            self.events_executed += 1
             ev.callback()
             fired += 1
             if self._stop_requested:
@@ -732,65 +721,61 @@ class Simulator:
         """Run for ``duration_ns`` of simulated time from now."""
         return self.run_until(self._now_ns + int(duration_ns), max_events=max_events)
 
-    # ---------------------------------------------------------------- tracing
+    # -------------------------------------------------------- instrumentation
     def attach_tracer(self, tracer) -> None:
-        """Attach a :class:`repro.obs.Tracer`; swaps in the traced paths.
+        """Attach a :class:`repro.obs.Tracer` and bind the instrumented
+        :meth:`step` / :meth:`schedule_at`.
 
-        The traced copies of :meth:`step` / :meth:`schedule_at` shadow
-        the class methods on this instance only, so every simulator
-        without a tracer keeps running the branch-free originals —
-        disabled-mode tracing overhead in the kernel is exactly zero.
+        They shadow the class methods on this instance only, so every
+        simulator without a tracer or profiler keeps running the
+        branch-free originals: disabled-mode overhead in the kernel is
+        exactly zero.
         """
         self.tracer = tracer
         self._reshadow()
 
     def detach_tracer(self) -> None:
-        """Remove the tracer and restore the branch-free kernel paths."""
+        """Remove the tracer (plain paths return if no profiler is on)."""
         self.tracer = None
         self._reshadow()
 
     def attach_profiler(self, profiler) -> None:
-        """Attach a :class:`repro.profile.ShardProfiler`.
-
-        Swaps in the profiled :meth:`step` / :meth:`schedule_at` copies
-        — the same instance-shadowing scheme as :meth:`attach_tracer`,
-        so disabled-mode profiling overhead in the kernel is exactly
-        zero.  The profiled paths handle an attached tracer inline, so
-        profiling and tracing compose without a fourth method pair.
-        """
+        """Attach a :class:`repro.profile.ShardProfiler`, binding the
+        same instrumented pair as :meth:`attach_tracer`."""
         self.profiler = profiler
         self._reshadow()
 
     def detach_profiler(self) -> None:
-        """Remove the profiler; restore traced or plain paths as needed."""
+        """Remove the profiler (plain paths return if no tracer is on)."""
         self.profiler = None
         self._reshadow()
 
     def _reshadow(self) -> None:
-        """Bind the step/schedule_at variants the attached instrumentation
-        needs (profiled > traced > branch-free originals)."""
+        """Bind the instrumented step/schedule_at while a tracer or a
+        profiler is attached; otherwise fall back to the class methods."""
         self.__dict__.pop("schedule_at", None)
         self.__dict__.pop("step", None)
-        if self.profiler is not None:
-            self.schedule_at = self._profiled_schedule_at  # type: ignore[method-assign]
-            self.step = self._profiled_step  # type: ignore[method-assign]
-        elif self.tracer is not None:
-            self.schedule_at = self._traced_schedule_at  # type: ignore[method-assign]
-            self.step = self._traced_step  # type: ignore[method-assign]
+        if self.tracer is not None or self.profiler is not None:
+            self.schedule_at = self._instrumented_schedule_at  # type: ignore[method-assign]
+            self.step = self._instrumented_step  # type: ignore[method-assign]
 
-    def _traced_schedule_at(
+    def _instrumented_schedule_at(
         self,
         time_ns: int,
         callback: Callable[[], None],
         *,
         name: str = "",
     ) -> EventHandle:
-        """:meth:`schedule_at`, plus causal-context capture.
+        """:meth:`schedule_at`, plus causal-context capture and
+        schedule-delay capture.
 
         The tracer's *current* trace id (if any) is stamped onto the
         event, so causality follows every split-phase hop — stack CPU
         delays, radio frames, router dispatches, bus completions —
-        with no per-layer plumbing.
+        with no per-layer plumbing.  The profiler records every named
+        event's distinct scheduling delays — the signature its idle-gap
+        analyzer uses to classify periodic (analytically
+        fast-forwardable) work offline.
         """
         time_ns = int(time_ns)
         if time_ns < self._now_ns:
@@ -801,74 +786,21 @@ class Simulator:
         tracer = self.tracer
         if tracer is not None and tracer.current is not None:
             event.trace_id = tracer.current
+        profiler = self.profiler
+        if profiler is not None and name:
+            profiler.on_schedule(name, time_ns - self._now_ns)
         heapq.heappush(self._queue, (time_ns, self._seq, event))
         self._seq += 1
         return EventHandle(event, self)
 
-    def _traced_step(self) -> bool:
-        """:meth:`step`, plus causal-context restore around callbacks."""
-        while self._queue:
-            time_ns, _, event = heapq.heappop(self._queue)
-            event.popped = True
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now_ns = time_ns
-            for hook in self._trace_hooks:
-                hook(time_ns, event.name)
-            tracer = self.tracer
-            if tracer is None:  # detached mid-run
-                event.callback()
-                return True
-            trace_id = getattr(event, "trace_id", None)
-            tracer.current = trace_id
-            if event.name and tracer.enabled_for("kernel"):
-                tracer.instant(event.name, "kernel", trace_id=trace_id)
-            try:
-                event.callback()
-            finally:
-                tracer.current = None
-            return True
-        return False
+    def _instrumented_step(self) -> bool:
+        """:meth:`step`, plus causal-context restore around the callback
+        (tracer) and wall-clock and sim-gap attribution (profiler).
 
-    # -------------------------------------------------------------- profiling
-    def _profiled_schedule_at(
-        self,
-        time_ns: int,
-        callback: Callable[[], None],
-        *,
-        name: str = "",
-    ) -> EventHandle:
-        """:meth:`schedule_at`, plus schedule-delay capture.
-
-        The profiler records every named event's distinct scheduling
-        delays — the signature its idle-gap analyzer uses to classify
-        periodic (analytically fast-forwardable) work offline.  Tracer
-        causal-context stamping is folded in so profiled+traced runs
-        behave exactly like traced runs.
-        """
-        time_ns = int(time_ns)
-        if time_ns < self._now_ns:
-            raise SimulationError(
-                f"cannot schedule in the past: {time_ns} < {self._now_ns}"
-            )
-        event = _ScheduledEvent(time_ns, self._seq, callback, name)
-        tracer = self.tracer
-        if tracer is not None and tracer.current is not None:
-            event.trace_id = tracer.current
-        if name:
-            self.profiler.on_schedule(name, time_ns - self._now_ns)
-        heapq.heappush(self._queue, (time_ns, self._seq, event))
-        self._seq += 1
-        return EventHandle(event, self)
-
-    def _profiled_step(self) -> bool:
-        """:meth:`step`, plus wall-clock and sim-gap attribution.
-
-        Each event's host cost (``perf_counter_ns`` around the
-        callback) and the simulated-time gap it closed are reported to
-        the profiler keyed by event name.  Tracer handling is inlined
-        so the profiled path covers both the plain and traced cases.
+        The profiler gets each event's host cost (``perf_counter_ns``
+        around the callback, the tracer's kernel instant included) and
+        the simulated-time gap it closed, keyed by event name.  Either
+        may be detached mid-run.
         """
         while self._queue:
             time_ns, _, event = heapq.heappop(self._queue)
@@ -876,12 +808,13 @@ class Simulator:
             if event.cancelled:
                 self._tombstones -= 1
                 continue
-            prev_ns = self._now_ns
+            profiler = self.profiler
+            if profiler is not None:
+                prev_ns = self._now_ns
+                started = perf_counter_ns()
             self._now_ns = time_ns
-            for hook in self._trace_hooks:
-                hook(time_ns, event.name)
+            self.events_executed += 1
             tracer = self.tracer
-            started = perf_counter_ns()
             if tracer is None:
                 event.callback()
             else:
@@ -893,9 +826,10 @@ class Simulator:
                     event.callback()
                 finally:
                     tracer.current = None
-            self.profiler.on_event(
-                event.name, prev_ns, time_ns, perf_counter_ns() - started
-            )
+            if profiler is not None:
+                profiler.on_event(
+                    event.name, prev_ns, time_ns, perf_counter_ns() - started
+                )
             return True
         return False
 
@@ -905,7 +839,7 @@ class Simulator:
         ``(time_ns, seq, event)`` tuples keep their ordering keys, and
         tombstoned events keep their ``cancelled`` flags)."""
         state = dict(self.__dict__)
-        # The traced fast paths are bound methods shadowing the class
+        # The instrumented paths are bound methods shadowing the class
         # ones on this instance; restore_state re-binds them, so the
         # checkpoint never carries method objects.
         state.pop("schedule_at", None)
@@ -927,21 +861,6 @@ class Simulator:
     __setstate__ = restore_state
 
     # ----------------------------------------------------------------- extras
-    def add_trace_hook(
-        self,
-        hook: Callable[[int, str], None],
-        *,
-        bulk: Optional[Callable[[int, str, int], None]] = None,
-    ) -> None:
-        """Register a hook called (time_ns, event_name) before each event.
-
-        ``bulk(time_ns, name, n)`` is the hook's aggregated variant; it
-        must equal n per-event calls.  Fast-forward windows and batch
-        drains stay disengaged until every registered hook has one.
-        """
-        self._trace_hooks.append(hook)
-        self._bulk_hooks.append(bulk)
-
     def enable_fast_forward(self) -> None:
         """Allow :meth:`run_until` to apply certified idle windows
         analytically.  Stepping semantics are unchanged for any window
@@ -954,8 +873,8 @@ class Simulator:
     def register_batch(self, name: str, *, slack_ns: int = 0) -> None:
         """Drain runs of queued events named *name* at identical (or,
         with ``slack_ns``, contiguous) timestamps through one tight
-        loop, amortizing heap and dispatch overhead.  Per-event hook
-        and callback semantics are preserved exactly."""
+        loop, amortizing heap and dispatch overhead.  Per-event
+        counting and callback semantics are preserved exactly."""
         if not name:
             raise SimulationError("batched events need a non-empty name")
         self._batch_names[name] = int(slack_ns)

@@ -202,6 +202,8 @@ def load_shard(directory, *, audit: bool = True) -> RestoredShard:
                 f"'python -m repro.snapshot diff' against a fresh save "
                 f"to localize the divergence"
             )
+    # After the audit, which compares the counters as they were saved.
+    deployment.adopt_event_count()
     return RestoredShard(deployment=deployment, manifest=manifest,
                          summary=summary)
 

@@ -27,6 +27,11 @@ a checkpoint resumes against is the code of the checked-out tree —
 which is what makes schema migrations meaningful (state is versioned;
 behaviour is not frozen into the checkpoint).
 
+Bound methods travel as ``getattr(owner, name)``, so a checkpoint can
+name a method this tree has since deleted.  Loading gives it an inert
+stand-in (:class:`RetiredMethod`) for the layer migration that retired
+the method to drop; one that survives raises when called.
+
 Because :mod:`marshal`'s bytecode format is interpreter-specific,
 checkpoints record the Python version and refuse to load under a
 different ``major.minor`` (see :mod:`repro.snapshot.checkpoint`).
@@ -169,6 +174,37 @@ class SnapshotPickler(pickle.Pickler):
         return NotImplemented
 
 
+class RetiredMethod:
+    """A bound method a checkpoint names but this tree no longer defines."""
+
+    __slots__ = ("owner", "name")
+
+    def __init__(self, owner: Any, name: str) -> None:
+        self.owner = owner
+        self.name = name
+
+    def __call__(self, *args: Any, **kwargs: Any) -> None:
+        raise AttributeError(
+            f"{type(self.owner).__qualname__}.{self.name} was retired; the "
+            f"checkpoint still calls it and no migration dropped the call")
+
+
+def _method_or_retired(owner: Any, name: str, *default: Any) -> Any:
+    """``getattr`` as pickle's bound-method reduction calls it, with a
+    :class:`RetiredMethod` for a name the owner's class lost."""
+    try:
+        return getattr(owner, name, *default)
+    except AttributeError:
+        return RetiredMethod(owner, name)
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        if module == "builtins" and name == "getattr":
+            return _method_or_retired
+        return super().find_class(module, name)
+
+
 def dumps_state(obj: Any) -> bytes:
     """Serialize *obj* (a full shard graph or any sub-graph) to bytes.
 
@@ -190,11 +226,13 @@ def loads_state(blob: bytes) -> Any:
             f"snapshot codec version {blob[len(_MAGIC) - 1]} not supported "
             f"(this tree speaks {CODEC_VERSION})"
         )
-    return pickle.loads(zlib.decompress(blob[len(_MAGIC):]))
+    return _SnapshotUnpickler(
+        io.BytesIO(zlib.decompress(blob[len(_MAGIC):]))).load()
 
 
 __all__ = [
     "CODEC_VERSION",
+    "RetiredMethod",
     "SnapshotPickler",
     "dumps_state",
     "loads_state",

@@ -15,7 +15,7 @@ Two migration planes, mirroring Simics' checkpoint machinery:
   implementation routes its incoming state through
   :func:`upgrade_state`, so an old checkpoint whose ``sim`` layer was
   written at schema v1 can still restore into a tree whose Simulator
-  is at v3 — provided the 1→2 and 2→3 hooks exist.
+  is at v4 — provided the 1→2, 2→3 and 3→4 hooks exist.
 
 The built-in v1→v2 manifest migration documents the pattern: format v1
 manifests spelled the checkpoint instant ``time_ns``; v2 renamed it to
@@ -156,16 +156,28 @@ def _simulator_v1_to_v2(state: dict) -> dict:
 
 @register_state_migration("repro.sim.kernel.Simulator", 2)
 def _simulator_v2_to_v3(state: dict) -> dict:
-    """Sim schema v3 added the fast-forward tier: bulk hook slots,
-    the enable flag + suppression marker, skip statistics, and the
-    batch-drain name registry."""
-    state.setdefault("_bulk_hooks",
-                     [None] * len(state.get("_trace_hooks", ())))
+    """Sim schema v3 added the fast-forward tier: the enable flag +
+    suppression marker, skip statistics, and the batch-drain name
+    registry.  (It also added bulk variants of the per-event hooks;
+    v4 retired every hook list, so the chain leaves them out.)"""
     state.setdefault("_ff_enabled", False)
     state.setdefault("_ff_skip_until", 0)
     state.setdefault("ff_windows", 0)
     state.setdefault("ff_events", 0)
     state.setdefault("_batch_names", {})
+    return state
+
+
+@register_state_migration("repro.sim.kernel.Simulator", 3)
+def _simulator_v3_to_v4(state: dict) -> dict:
+    """Sim schema v4 replaced the per-event hook lists (the v3 fields
+    ending in ``_hooks``, holding stand-ins for their retired bound
+    methods) with the kernel's own ``events_executed`` count.  Only a
+    hook knew a v3 count, so it restarts at zero; a shard hands its
+    saved ``sim.events`` back on load (``adopt_event_count``)."""
+    for field in [name for name in state if name.endswith("_hooks")]:
+        del state[field]
+    state.setdefault("events_executed", 0)
     return state
 
 

@@ -68,12 +68,14 @@ def test_simulator_interleaved_cancel_and_fire():
 
 
 def test_simulator_event_scheduling_from_trace_hook_is_safe():
+    from .test_sim_kernel import EventRecorder
+
     sim = Simulator()
-    seen = []
-    sim.add_trace_hook(lambda t, name: seen.append(name))
+    recorder = EventRecorder()
+    sim.attach_profiler(recorder)
     sim.schedule(1, lambda: None, name="only")
     sim.run()
-    assert seen == ["only"]
+    assert [name for _, name in recorder.log] == ["only"]
 
 
 # --------------------------------------------------------------- stack misuse

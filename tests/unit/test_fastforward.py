@@ -14,6 +14,8 @@ import pytest
 from repro.sim.kernel import NS_PER_MS, Simulator
 from repro.snapshot.codec import dumps_state, loads_state
 
+from .test_sim_kernel import EventRecorder
+
 
 class Sampler:
     """A certified periodic task: LCG state + float accumulator, with a
@@ -109,13 +111,12 @@ def test_fast_forward_preserves_future_event_order():
         # Step the continuation event-by-event in both worlds so the
         # recorded (time, name) stream is directly comparable.
         sim._ff_enabled = False
-        popped = []
-        sim.add_trace_hook(
-            lambda t, name, log=popped: log.append((t, name)),
-            bulk=lambda t, name, n, log=popped: log.append((t, name, n)))
+        recorder = EventRecorder()
+        sim.attach_profiler(recorder)
         sim.run_until(horizon + 100 * NS_PER_MS)
-        orders.append(popped)
+        orders.append(recorder.log)
     assert orders[0] == orders[1]
+    assert len(orders[0]) > 10
 
 
 def test_ordered_observer_sees_merged_order_inside_windows():

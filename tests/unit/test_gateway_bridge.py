@@ -191,3 +191,63 @@ def test_submitted_ops_serialize_across_threads():
         assert all(t == 80_000_000 for t in clocks)
     finally:
         bridge.close()
+
+
+def _reachable(root):
+    """Every object reachable from *root* through instance state,
+    containers and closures (function globals are not followed)."""
+    import gc
+    import types
+
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack.extend(obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+            stack.append(obj.__kwdefaults__ or {})
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_shard_of_an_open_bridge_checkpoints_without_the_bridge(tmp_path):
+    import queue
+
+    from repro.gateway.bridge import _Forwarder
+    from repro.snapshot.checkpoint import load_shard, save_shard
+    from repro.snapshot.state import shard_summary
+
+    messages = []
+    bridge = GatewayBridge(SCENARIO).start()
+    try:
+        bridge.subscribe(messages.append)
+        assert bridge.execute(Op("advance", value=2_000_000_000)).status \
+            == 200
+        assert {m["type"] for m in messages} >= {"thing-event",
+                                                 "telemetry-sample"}
+        saved_open = bridge.run_on_thread(lambda: [
+            save_shard(d, tmp_path / f"open-{i}")
+            for i, d in enumerate(bridge.deployments)])
+    finally:
+        bridge.close()
+    saved_closed = [save_shard(d, tmp_path / f"closed-{i}")
+                    for i, d in enumerate(bridge.deployments)]
+
+    for open_dir, closed_dir in zip(saved_open, saved_closed):
+        restored = load_shard(open_dir).deployment
+        reached = _reachable(restored)
+        assert not [obj for obj in reached
+                    if isinstance(obj, (GatewayBridge, queue.Queue))]
+        forwarders = [obj for obj in reached if isinstance(obj, _Forwarder)]
+        assert forwarders and all(f.publish is None for f in forwarders)
+        closed = load_shard(closed_dir).deployment
+        assert shard_summary(restored) == shard_summary(closed)
+        # The inert forwarders leave the resumed run untouched.
+        for deployment in (restored, closed):
+            deployment.sim.run_until(deployment.sim.now_ns + 3_000_000_000)
+        assert shard_summary(restored) == shard_summary(closed)

@@ -122,11 +122,23 @@ def test_attach_and_detach_swap_the_kernel_hot_paths():
     assert "step" not in sim.__dict__ and "schedule_at" not in sim.__dict__
     tracer = install_tracer(sim)
     assert sim.tracer is tracer
-    assert sim.__dict__["step"] == sim._traced_step
-    assert sim.__dict__["schedule_at"] == sim._traced_schedule_at
+    assert sim.__dict__["step"] == sim._instrumented_step
+    assert sim.__dict__["schedule_at"] == sim._instrumented_schedule_at
+    # A profiler shares the one instrumented pair; detaching either
+    # keeps it bound while the other is still attached.
+    profiler = object()
+    sim.attach_profiler(profiler)
+    assert sim.__dict__["step"] == sim._instrumented_step
     sim.detach_tracer()
-    assert sim.tracer is None
+    assert sim.tracer is None and sim.profiler is profiler
+    assert sim.__dict__["step"] == sim._instrumented_step
+    assert sim.__dict__["schedule_at"] == sim._instrumented_schedule_at
+    sim.detach_profiler()
     assert "step" not in sim.__dict__ and "schedule_at" not in sim.__dict__
+    instrumented = {name for name in vars(Simulator)
+                    if name.endswith(("step", "schedule_at"))}
+    assert instrumented == {"step", "schedule_at", "_instrumented_step",
+                            "_instrumented_schedule_at"}
 
 
 def test_kernel_propagates_the_current_trace_across_schedules():

@@ -156,13 +156,31 @@ def test_max_events_bound():
     assert sim.pending_count() == 6
 
 
+class EventRecorder:
+    """A kernel profiler that logs ``(time_ns, name)`` per executed event
+    and ``(last_ns, name, count)`` per fast-forwarded run of a handle."""
+
+    def __init__(self):
+        self.log = []
+
+    def on_schedule(self, name, delay_ns):
+        pass
+
+    def on_event(self, name, prev_ns, time_ns, wall_ns):
+        self.log.append((time_ns, name))
+
+    def on_fast_forward(self, name, count, first_ns, last_ns):
+        self.log.append((last_ns, name, count))
+
+
 def test_trace_hook_sees_names():
+    # The instrumented step reports each event's time and name.
     sim = Simulator()
-    traced = []
-    sim.add_trace_hook(lambda t, name: traced.append((t, name)))
+    recorder = EventRecorder()
+    sim.attach_profiler(recorder)
     sim.schedule(5, lambda: None, name="hello")
     sim.run()
-    assert traced == [(5, "hello")]
+    assert recorder.log == [(5, "hello")]
 
 
 def test_drain_cancels_everything():

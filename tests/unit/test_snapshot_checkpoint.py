@@ -225,3 +225,78 @@ def test_perturb_is_deterministic_and_divergent():
     assert one.fork("kid").stream("b").random() == \
         two.fork("kid").stream("b").random()
     assert one.stream("a").random() != three.stream("a").random()
+
+
+class _MethodByName:
+    """Pickles exactly as a bound method does: ``getattr(owner, name)``."""
+
+    def __init__(self, owner, name):
+        self.owner, self.name = owner, name
+
+    def __reduce__(self):
+        return getattr, (self.owner, self.name)
+
+
+def test_v3_shard_checkpoint_restores_and_keeps_counting(tmp_path,
+                                                         monkeypatch):
+    # A shard as a sim-schema-v3 tree saved it: the kernel carried hook
+    # lists holding bound methods of the deployment (which this tree no
+    # longer defines), and ``sim.events`` was a plain counter the hook
+    # bumped.
+    from repro.fleet.metrics import Counter
+    from repro.sim.kernel import Simulator
+    from repro.snapshot.codec import RetiredMethod, loads_state
+
+    deployment = _small_deployment()
+    events = deployment.sim.events_executed
+    assert deployment.metrics.counter("sim.events").value == events > 0
+    plain = Counter()
+    plain.inc(events)
+    deployment.metrics._counters["sim.events"] = plain
+
+    def v3_state(sim):
+        state = dict(sim.__dict__)
+        del state["events_executed"]
+        state["_trace_hooks"] = [_MethodByName(deployment, "_on_sim_event")]
+        state["_bulk_hooks"] = [_MethodByName(deployment, "_on_sim_events")]
+        state["_schema"] = 3
+        return state
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulator, "__getstate__", v3_state)
+        save_shard(deployment, tmp_path / "v3")
+
+    # The kernel layer alone: the hook lists, holding stand-ins for the
+    # retired methods, go; the count starts at 0.
+    assert upgrade_state(Simulator, {
+        "_schema": 3, "_now_ns": 5, "_bulk_hooks": [None],
+        "_trace_hooks": [RetiredMethod(deployment, "_on_sim_event")],
+    }) == {"_schema": 4, "_now_ns": 5, "events_executed": 0}
+    sim = loads_state((tmp_path / "v3" / "state.bin").read_bytes()).sim
+    assert sim.events_executed == 0
+    assert not [name for name in vars(sim) if name.endswith("_hooks")]
+
+    # The shard: the saved total moves into the kernel, and the resumed
+    # run ends where an uninterrupted one does.
+    restored = load_shard(tmp_path / "v3").deployment
+    assert restored.sim.events_executed == events
+    assert restored.metrics.counter("sim.events").value == events
+    restored.sim.run_until(ns_from_s(2.0))
+    reference = _small_deployment()
+    reference.sim.run_until(ns_from_s(2.0))
+    assert restored.metrics.counter("sim.events").value == \
+        reference.metrics.counter("sim.events").value
+    assert digest_document(restored.finalize().snapshot()) == \
+        digest_document(reference.finalize().snapshot())
+
+
+def test_retired_method_stand_in_fails_loudly_when_called():
+    from repro.snapshot.codec import dumps_state, loads_state
+
+    owner = RngRegistry(1)
+    stand_in = loads_state(dumps_state(_MethodByName(owner, "no_such")))
+    assert stand_in.owner.__class__ is RngRegistry
+    with pytest.raises(AttributeError, match="no_such"):
+        stand_in()
+    # Names that exist still load as real bound methods.
+    assert loads_state(dumps_state(owner.fork)).__func__ is RngRegistry.fork
